@@ -67,6 +67,8 @@ func (cq *ContinuousQuery) Plan() *Plan { return cq.plan }
 // Feed pushes one tuple into the named stream and runs the pipeline on
 // everything currently available. Feeding multiple streams of a join:
 // call Feed per arrival in timestamp order for deterministic results.
+// An operator failure stops the query; Feed and Advance return it from
+// then on.
 func (cq *ContinuousQuery) Feed(streamName string, t *Tuple) error {
 	if cq.closed {
 		return fmt.Errorf("streamdb: continuous query is closed")
@@ -77,7 +79,7 @@ func (cq *ContinuousQuery) Feed(streamName string, t *Tuple) error {
 	}
 	qu.Feed(stream.Tup(t))
 	cq.graph.Pump(-1)
-	return nil
+	return cq.graph.Err()
 }
 
 // Advance injects a progress punctuation on the named stream: "no more
@@ -97,7 +99,7 @@ func (cq *ContinuousQuery) Advance(streamName string, ts int64) error {
 	}
 	qu.Feed(stream.Punct(stream.ProgressPunct(ts, ord, Time(ts))))
 	cq.graph.Pump(-1)
-	return nil
+	return cq.graph.Err()
 }
 
 // Close ends the query: remaining state (open windows, unbounded

@@ -15,11 +15,11 @@
 //  2. replication — stateless (ops.Replicable) and partial-aggregation
 //     (ops.PartialAggregable) lanes grow and shrink their active worker
 //     set instantly (replicas are stateless or mergeable, so assignment
-//     is free to change at any batch boundary); key-partitioned lanes
-//     (ops.KeyPartitionable / ColPartitionable) re-split live through
-//     the checkpoint path: the splitter quiesces the replicas, each one
-//     Snapshots, and every new active replica rebuilds its slice of the
-//     key space with ops.StateRescaler.RestorePartition;
+//     is free to change at any batch boundary); the key-partition lane
+//     (ops.KeyPartitionable) re-splits live through the checkpoint
+//     path: the splitter quiesces the replicas, each one Snapshots, and
+//     every new active replica rebuilds its slice of the key space with
+//     ops.StateRescaler.RestorePartition;
 //  3. semantic shedding — only when every pressured scalable node is
 //     already at the pool ceiling does the controller raise the drop
 //     rate of in-graph shedders (internal/shed), before queues hit
@@ -57,10 +57,10 @@ import (
 
 // Lane kinds recorded per node for the controller.
 const (
-	laneStatic   = int8(iota) // runNode: not scalable
-	laneRepl                  // runReplicated: stateless clones
-	lanePartial               // runPartialReplicated: partial replicas + combiner
-	laneKeyPart               // runKeyPartitioned / runKeyPartitionedCol
+	laneStatic  = int8(iota) // runNode: not scalable
+	laneRepl                 // runReplicated: stateless clones
+	lanePartial              // runPartialReplicated: partial replicas + combiner
+	laneKeyPart              // runKeyRouter
 )
 
 // AdaptConfig enables the adaptive controller in RunWith. Adaptation is

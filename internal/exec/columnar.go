@@ -11,10 +11,10 @@
 // row buffer before forwarding a column batch, so the two lanes of one
 // edge never reorder against each other.
 //
-// Consumers that implement ops.BatchOperator get batches natively;
-// everything else — row-only operators, the replicated and
-// key-partitioned splitters, sink edges — materializes rows through
-// Batch.AppendRows at the boundary. Fan-out shares one batch across
+// Consumers that implement ops.BatchOperator get batches natively, and
+// so does the key-partition router (partcol.go); everything else —
+// row-only operators, the replicated splitter, sink edges —
+// materializes rows through Batch.AppendRows at the boundary. Fan-out shares one batch across
 // consumers by reference counting: each extra edge retains, the last
 // send transfers the producer's reference, and a consumer holding a
 // shared batch refines its selection through a view (see
@@ -115,13 +115,4 @@ func (cw *colWriter) flushCol() {
 	b := cw.cur
 	cw.cur = nil
 	cw.w.addBatch(b) // addBatch releases empty batches itself
-}
-
-// materialize converts a column batch message to a row batch for lanes
-// that stay row-only (replicated and key-partitioned splitters), and
-// drops the batch reference.
-func (r *concRun) materialize(m batchMsg) batchMsg {
-	elems := m.col.AppendRows(r.pool.Get())
-	m.col.Release()
-	return batchMsg{port: m.port, elems: elems}
 }

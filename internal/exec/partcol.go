@@ -1,30 +1,28 @@
-// Columnar key-partitioned joins: batch-native routing for the
-// key-partition lane.
+// The key-partition router: RunWith's one scale-out lane for two-input
+// ops.KeyPartitionable operators (joins), on row and columnar runs alike.
 //
-// The row-mode router (runKeyPartitioned) materializes every column
-// batch into elements at the splitter, so a columnar pipeline collapses
-// to rows the moment a partitioned join appears. This lane keeps the
-// batch shape end-to-end:
+// The splitter's port queues hold two kinds of entry. A row entry is one
+// element: data from a row edge, a punctuation, or a tuple restored from
+// a checkpoint. A batch entry is a column batch whose key column the
+// splitter hashed once on arrival (KeyPartitionable.PartitionHashCol).
+// Releasing a batch entry routes row INDEXES: each replica's task
+// collects (batch, row) references over the same retained batch, so a
+// split moves no data, and one task may mix row and batch entries.
+// Workers push row entries through Push and contiguous same-batch runs
+// through ProcessColSpan.
 //
-//   - the splitter hashes a batch's key column once on arrival
-//     (ops.ColPartitionable.PartitionHashCol) and queues the batch
-//     behind the same timestamp-aware port merge as the row lane;
-//   - releasing routes row INDEXES: each replica's task accumulates
-//     (batch, row) references over the same retained batch — zero data
-//     movement on split. Punctuations (always row-shaped) broadcast as
-//     task boundaries exactly as before;
-//   - workers run ProcessColSpan over contiguous same-batch runs,
-//     collecting dense output batches plus per-row span offsets;
-//   - the sequence-restoring merge reassembles output spans column-wise
-//     (Batch.AppendSpan) into pooled batches for downstream edges.
+// Replies take the shape of the run's lane. On a columnar run workers
+// collect dense output batches plus per-row span offsets, and the merger
+// reassembles spans column-wise (Batch.AppendSpan) into pooled batches.
+// A row run carries no column batches (sources transpose only when
+// RunOptions.Columnar is set), so its workers collect []stream.Element
+// spans and the merger hands them to edgeWriter.add: the row lane pays
+// no transpose.
 //
-// The release order, the synthesized-watermark rule, the global data
-// sequence numbers and the barrier protocol are copied from the row
-// lane unchanged, so outputs are byte-identical to it — and checkpoint
-// sections are too: the splitter snapshot materializes still-queued
-// batch rows into elements, producing the same bytes the row splitter
-// would emit at the same cut, which keeps row- and columnar-mode
-// checkpoints interchangeable.
+// Checkpoint sections do not depend on the lane: the splitter snapshot
+// materializes still-queued batch rows into elements, and a restore puts
+// them back as row entries, so row and columnar runs restore each
+// other's cuts.
 
 package exec
 
@@ -40,25 +38,50 @@ import (
 	"streamdb/internal/tuple"
 )
 
-// colPartTask is one routed run of the merged input for a single join
-// replica: parallel arrays where bs[i] == nil marks a row element
-// (elems[i]: punctuation, barrier, or restored element) and a non-nil
-// bs[i] marks physical row rows[i] of that batch. The task holds one
-// batch reference per contiguous (batch, port) run; the worker drops it
-// after processing the run.
-type colPartTask struct {
+// noSeq marks task elements (broadcast punctuations, barriers) that
+// produce no output and therefore occupy no slot in the output merge.
+const noSeq = ^uint64(0)
+
+// spanTask is one routed run of the merged input for a single join
+// replica: parallel arrays where a nil batch(i) marks a row entry
+// (elems[i]: data, punctuation or barrier) and a non-nil one marks
+// physical row rows[i] of that batch. bs and rows stay nil until the
+// task's first batch row, so row runs never allocate them. The task
+// holds one batch reference per contiguous (batch, port) run; the worker
+// drops it after processing the run. A task with resc set instead asks
+// the worker to take part in a live re-split (see rescaleOp).
+type spanTask struct {
 	elems []stream.Element
 	bs    []*stream.Batch
 	rows  []int32
 	ports []uint8
 	seqs  []uint64
-	resc  *rescaleOp // live re-split request (no data when set)
+	resc  *rescaleOp
 }
 
-// colPartReply carries one task's outputs back to the merger:
-// out rows [ends[i-1], ends[i]) are the output span of data sequence
-// seqs[i]. Flush replies carry row-shaped flush output instead.
-type colPartReply struct {
+func (t *spanTask) batch(i int) *stream.Batch {
+	if t.bs == nil {
+		return nil
+	}
+	return t.bs[i]
+}
+
+// runEnd returns the end of the contiguous same-(batch, port) run that
+// starts at batch entry i.
+func (t *spanTask) runEnd(i int) int {
+	j := i + 1
+	for j < len(t.ports) && t.bs[j] == t.bs[i] && t.ports[j] == t.ports[i] {
+		j++
+	}
+	return j
+}
+
+// spanReply carries one task's outputs back to the merger: output rows
+// [ends[i-1], ends[i]) are the span of data sequence seqs[i], held in
+// out on a columnar run and in outs on a row run. A reply with flush set
+// carries a replica's end-of-stream flush output in outs instead; one
+// with barrier set reports that the replica snapshotted at bar.
+type spanReply struct {
 	worker  int
 	flush   bool
 	barrier bool
@@ -67,45 +90,98 @@ type colPartReply struct {
 	ends    []int32
 	out     *stream.Batch
 	outs    []stream.Element
+	left    int // spans not yet delivered; the output recycles at zero
 }
 
-// colPQEntry is one port-merge queue entry: either a single row element
-// (b == nil) or a column batch with its per-live-row partition hashes.
-// rows aliases the batch's selection vector (nil = dense); pos is the
-// next unreleased row.
-type colPQEntry struct {
-	e    stream.Element
+// free recycles the reply's output buffer.
+func (rep *spanReply) free(r *concRun) {
+	if rep.out != nil {
+		rep.out.Release()
+	} else {
+		r.pool.Put(rep.outs)
+	}
+}
+
+// queueEntry is one port-merge queue entry: a single row element, or
+// (cb != nil) a column batch.
+type queueEntry struct {
+	e  stream.Element
+	cb *batchEntry
+}
+
+// batchEntry is a queued column batch with its per-live-row partition
+// hashes. rows aliases the batch's selection vector (nil = dense); pos
+// is the next unreleased row. The splitter recycles batch entries, hash
+// buffers included, once every row is released.
+type batchEntry struct {
 	b    *stream.Batch
 	rows []int32
 	hs   []uint64
 	pos  int
 }
 
-func (ent *colPQEntry) n() int {
-	if ent.b == nil {
-		return 1
+func (cb *batchEntry) n() int {
+	if cb.rows != nil {
+		return len(cb.rows)
 	}
-	if ent.rows != nil {
-		return len(ent.rows)
-	}
-	return ent.b.Rows()
+	return cb.b.Rows()
 }
 
-func (ent *colPQEntry) row(i int) int32 {
-	if ent.rows != nil {
-		return ent.rows[i]
+func (cb *batchEntry) row(i int) int32 {
+	if cb.rows != nil {
+		return cb.rows[i]
 	}
 	return int32(i)
 }
 
-func (r *concRun) runKeyPartitionedCol(id NodeID, n *node, cp ops.ColPartitionable, wg *sync.WaitGroup) {
+// runKeyRouter executes one two-input KeyPartitionable node (a join) as
+// P replicas behind a hash-split router — the third scale-out lane, for
+// equality-keyed stateful operators that neither Replicable (stateless)
+// nor PartialAggregable (single-input aggregation) covers.
+//
+// Three pieces make the routed run byte-identical to the serial engine:
+//
+//   - A timestamp-aware port merge. The serial engine interleaves
+//     sources by (head timestamp, source index); concurrent channels
+//     destroy that order across the two ports. The splitter therefore
+//     queues each port and re-derives the serial order: with both
+//     queues non-empty it releases the smaller head timestamp (ties to
+//     port 0, matching the source-index tie-break when port i is fed by
+//     source i); with one queue empty it may release only elements at
+//     or below the other port's punctuation watermark — the promise
+//     that nothing earlier is still in flight. A port that stays silent
+//     without punctuating buffers the other port until end-of-stream;
+//     the lane trades that latency for exactness.
+//
+//   - Key-hash routing with broadcast progress. Data elements go to
+//     replica hash(key) % P — both ports hash through the operator's
+//     own PartitionHash, so matching tuples meet — while punctuations
+//     are broadcast to every replica. When a late element is released
+//     below its port's running maximum timestamp, the splitter first
+//     broadcasts a synthesized punctuation at that maximum: replicas
+//     that missed the higher-timestamped elements (routed elsewhere)
+//     would otherwise under-expire the opposite window relative to the
+//     serial run, which derives its watermark from every arrival.
+//
+//   - A sequence-restoring output merge. Each released data element
+//     carries a global sequence number; workers report, per task, the
+//     output span of every data element, and the merger releases spans
+//     in sequence order. Punctuations produce no output by the
+//     KeyPartitionable contract, so they need no merge slot. Flush
+//     outputs (XJoin's cleanup phase) follow in replica order.
+//
+// Every data sequence number is reported exactly once — crashed
+// replicas still account for their assigned spans with empty output —
+// so the merge never stalls on a failed replica.
+func (r *concRun) runKeyRouter(id NodeID, n *node, kp ops.KeyPartitionable, wg *sync.WaitGroup) {
 	defer wg.Done()
 	p := r.poolWidth()
-	workCh := make([]chan colPartTask, p)
+	col := r.opts.Columnar
+	workCh := make([]chan spanTask, p)
 	for i := range workCh {
-		workCh[i] = make(chan colPartTask, 2)
+		workCh[i] = make(chan spanTask, 2)
 	}
-	mergeCh := make(chan colPartReply, 2*p)
+	mergeCh := make(chan spanReply, 2*p)
 	var crashed atomic.Bool
 	outSchema := n.op.OutSchema()
 
@@ -114,16 +190,40 @@ func (r *concRun) runKeyPartitionedCol(id NodeID, n *node, cp ops.ColPartitionab
 		workWG.Add(1)
 		go func(k int) {
 			defer workWG.Done()
-			op := cp.ClonePartition()
+			op := kp.ClonePartition()
 			r.restoreOp(repName(id, k), op)
-			outPool := stream.NewColPool(outSchema, r.opts.BatchSize)
+			var outPool *stream.ColPool
+			if col {
+				outPool = stream.NewColPool(outSchema, r.opts.BatchSize)
+			}
+			// The open reply's output: a batch on a columnar run, an
+			// element slice on a row run and for the end-of-stream flush.
+			var out *stream.Batch
+			var outs []stream.Element
+			emit := func(o stream.Element) {
+				if out != nil {
+					out.AppendRow(o.Tuple)
+				} else {
+					outs = append(outs, o)
+				}
+			}
+			mark := func() int32 {
+				if out != nil {
+					return int32(out.Rows())
+				}
+				return int32(len(outs))
+			}
 			for t := range workCh[k] {
 				if t.resc != nil {
 					op = r.applyRescale(t.resc, k, id, n, op,
-						func() ops.Operator { return cp.ClonePartition() }, &crashed)
+						func() ops.Operator { return kp.ClonePartition() }, &crashed)
 					continue
 				}
-				out := outPool.Get()
+				if col {
+					out = outPool.Get()
+				} else {
+					outs = r.pool.Get()
+				}
 				seqs := make([]uint64, 0, len(t.ports))
 				ends := make([]int32, 0, len(t.ports))
 				var bar stream.Element
@@ -136,71 +236,61 @@ func (r *concRun) runKeyPartitionedCol(id NodeID, n *node, cp ops.ColPartitionab
 								crashed.Store(true)
 							}
 						}()
-						cop := op.(ops.ColPartitionable)
+						kop := op.(ops.KeyPartitionable)
 						for i < len(t.ports) {
-							if t.bs[i] == nil {
-								if e := t.elems[i]; e.IsBarrier() {
-									if r.ctl != nil {
-										r.ctl.addSnap(e.Punct.Barrier, repName(id, k), op)
-									}
-									bar = e
-									i++
-									continue
-								}
-								op.Push(int(t.ports[i]), t.elems[i], func(o stream.Element) {
-									out.AppendRow(o.Tuple)
-								})
-								if t.seqs[i] != noSeq {
-									seqs = append(seqs, t.seqs[i])
-									ends = append(ends, int32(out.Rows()))
-								}
-								i++
+							if b := t.batch(i); b != nil {
+								jj := t.runEnd(i)
+								ends = kop.ProcessColSpan(int(t.ports[i]), b, t.rows[i:jj], out, ends)
+								seqs = append(seqs, t.seqs[i:jj]...)
+								b.Release() // the task's reference for this run
+								i = jj
 								continue
 							}
-							// Contiguous same-(batch, port) run: one span call.
-							b, port := t.bs[i], t.ports[i]
-							jj := i + 1
-							for jj < len(t.ports) && t.bs[jj] == b && t.ports[jj] == port {
-								jj++
+							if e := t.elems[i]; e.IsBarrier() {
+								// Snapshot this partition at the aligned cut;
+								// the barrier itself is reported out-of-band so
+								// it occupies no slot in the sequence merge.
+								if r.ctl != nil {
+									r.ctl.addSnap(e.Punct.Barrier, repName(id, k), op)
+								}
+								bar = e
+							} else {
+								op.Push(int(t.ports[i]), e, emit)
+								if t.seqs[i] != noSeq {
+									seqs = append(seqs, t.seqs[i])
+									ends = append(ends, mark())
+								}
 							}
-							ends = cop.ProcessColSpan(int(port), b, t.rows[i:jj], out, ends)
-							seqs = append(seqs, t.seqs[i:jj]...)
-							b.Release() // the task's reference for this run
-							i = jj
+							i++
 						}
 					}()
 				}
-				// After a crash the remaining sequence numbers still need
-				// empty spans (the merge must not stall) and the remaining
-				// batch references still need dropping.
+				// After a crash (here or earlier) the remaining sequence
+				// numbers still need empty spans — the merge must not
+				// stall — and the remaining batch references still need
+				// dropping.
 				for i < len(t.ports) {
-					if t.bs[i] == nil {
+					jj := i + 1
+					if b := t.batch(i); b != nil {
+						jj = t.runEnd(i)
+						b.Release()
+					}
+					for ; i < jj; i++ {
 						if t.seqs[i] != noSeq {
 							seqs = append(seqs, t.seqs[i])
-							ends = append(ends, int32(out.Rows()))
+							ends = append(ends, mark())
 						}
-						i++
-						continue
 					}
-					b, port := t.bs[i], t.ports[i]
-					jj := i + 1
-					for jj < len(t.ports) && t.bs[jj] == b && t.ports[jj] == port {
-						jj++
-					}
-					for x := i; x < jj; x++ {
-						seqs = append(seqs, t.seqs[x])
-						ends = append(ends, int32(out.Rows()))
-					}
-					b.Release()
-					i = jj
 				}
-				mergeCh <- colPartReply{worker: k, seqs: seqs, ends: ends, out: out}
+				r.pool.Put(t.elems)
+				mergeCh <- spanReply{worker: k, seqs: seqs, ends: ends, out: out, outs: outs}
+				out, outs = nil, nil
 				if bar.Punct != nil {
-					mergeCh <- colPartReply{worker: k, barrier: true, bar: bar}
+					mergeCh <- spanReply{worker: k, barrier: true, bar: bar}
 				}
 				r.sampleMem(id, op)
 			}
-			fout := r.pool.Get()
+			outs = r.pool.Get()
 			if !crashed.Load() {
 				func() {
 					defer func() {
@@ -209,11 +299,11 @@ func (r *concRun) runKeyPartitionedCol(id NodeID, n *node, cp ops.ColPartitionab
 							crashed.Store(true)
 						}
 					}()
-					op.Flush(func(o stream.Element) { fout = append(fout, o) })
+					op.Flush(emit)
 				}()
 			}
 			r.sampleMemNow(id, op)
-			mergeCh <- colPartReply{worker: k, flush: true, outs: fout}
+			mergeCh <- spanReply{worker: k, flush: true, outs: outs}
 		}(k)
 	}
 	go func() {
@@ -221,11 +311,10 @@ func (r *concRun) runKeyPartitionedCol(id NodeID, n *node, cp ops.ColPartitionab
 		close(mergeCh)
 	}()
 
-	// Splitter: the row lane's timestamp-aware port merge and hash
-	// routing, releasing batch row spans instead of elements.
+	// Splitter: timestamp-aware port merge, then hash routing.
 	go func() {
 		var qs [2]struct {
-			q    []colPQEntry
+			q    []queueEntry
 			head int
 		}
 		headTs := func(pt int) (int64, bool) {
@@ -234,38 +323,51 @@ func (r *concRun) runKeyPartitionedCol(id NodeID, n *node, cp ops.ColPartitionab
 				return 0, false
 			}
 			ent := &pq.q[pq.head]
-			if ent.b == nil {
-				return ent.e.Ts(), true
+			if cb := ent.cb; cb != nil {
+				return cb.b.Ts[cb.row(cb.pos)], true
 			}
-			return ent.b.Ts[ent.row(ent.pos)], true
+			return ent.e.Ts(), true
 		}
 		popEntry := func(pt int) {
 			pq := &qs[pt]
-			pq.q[pq.head] = colPQEntry{}
+			pq.q[pq.head] = queueEntry{}
 			pq.head++
 			if pq.head == len(pq.q) {
 				pq.q, pq.head = pq.q[:0], 0
 			}
 		}
-		pw := [2]int64{math.MinInt64, math.MinInt64}
-		maxTs := [2]int64{math.MinInt64, math.MinInt64}
-		synthed := [2]int64{math.MinInt64, math.MinInt64}
+		pw := [2]int64{math.MinInt64, math.MinInt64}      // punctuation watermark per port
+		maxTs := [2]int64{math.MinInt64, math.MinInt64}   // max released data ts per port
+		synthed := [2]int64{math.MinInt64, math.MinInt64} // last synthesized watermark per port
 		var seq uint64
 		act := r.activeWidth(id)
 		var hashRamp []int32
-		open := make([]colPartTask, p)
-		addElem := func(k, port int, e stream.Element, s uint64) {
+		var spare []*batchEntry
+		open := make([]spanTask, p)
+		// add appends one entry to replica k's open task: a row element
+		// (b == nil) or row `row` of batch b.
+		add := func(k, port int, e stream.Element, b *stream.Batch, row int32, s uint64) {
 			t := &open[k]
 			if t.ports == nil {
-				t.elems = make([]stream.Element, 0, r.opts.BatchSize)
-				t.bs = make([]*stream.Batch, 0, r.opts.BatchSize)
-				t.rows = make([]int32, 0, r.opts.BatchSize)
+				t.elems = r.pool.Get()
 				t.ports = make([]uint8, 0, r.opts.BatchSize)
 				t.seqs = make([]uint64, 0, r.opts.BatchSize)
 			}
+			if b != nil {
+				if t.bs == nil {
+					// Every earlier entry of the task is a row entry.
+					t.bs = make([]*stream.Batch, len(t.ports), r.opts.BatchSize)
+					t.rows = make([]int32, len(t.ports), r.opts.BatchSize)
+				}
+				if l := len(t.bs); l == 0 || t.bs[l-1] != b || t.ports[l-1] != uint8(port) {
+					b.Retain() // one task reference per contiguous run
+				}
+			}
+			if t.bs != nil {
+				t.bs = append(t.bs, b)
+				t.rows = append(t.rows, row)
+			}
 			t.elems = append(t.elems, e)
-			t.bs = append(t.bs, nil)
-			t.rows = append(t.rows, 0)
 			t.ports = append(t.ports, uint8(port))
 			t.seqs = append(t.seqs, s)
 		}
@@ -274,19 +376,24 @@ func (r *concRun) runKeyPartitionedCol(id NodeID, n *node, cp ops.ColPartitionab
 				return
 			}
 			workCh[k] <- open[k]
-			open[k] = colPartTask{}
+			open[k] = spanTask{}
 		}
 		broadcast := func(port int, e stream.Element) {
-			// Active replicas only: idle workers' state (watermarks
-			// included) is rebuilt wholesale when a re-split brings them in.
+			// Only active replicas need progress: idle workers' state is
+			// rebuilt wholesale (watermarks included) when a re-split brings
+			// them in.
 			for k := 0; k < act; k++ {
-				addElem(k, port, e, noSeq)
+				add(k, port, e, nil, 0, noSeq)
 				flushTask(k)
 			}
 		}
-		// doRescale mirrors the row lane: quiesce, snapshot all replicas,
-		// restore each active replica's slice of the key space at the new
-		// width, then route over the new active set.
+		// doRescale quiesces the replica set and re-splits it at the new
+		// width: flush everything routed so far, hand every pool worker a
+		// rescale task, wait for all snapshots, then release the restore
+		// and route over the new active set. Nothing is routed while the
+		// handshake runs, so each old replica snapshots at a task boundary
+		// with no in-flight input — the same aligned-cut property the
+		// checkpoint path relies on.
 		doRescale := func(want int) {
 			for k := 0; k < p; k++ {
 				flushTask(k)
@@ -294,7 +401,7 @@ func (r *concRun) runKeyPartitionedCol(id NodeID, n *node, cp ops.ColPartitionab
 			rs := &rescaleOp{sections: make([][]byte, p), newAct: want, ready: make(chan struct{})}
 			rs.snapWG.Add(p)
 			for k := 0; k < p; k++ {
-				workCh[k] <- colPartTask{resc: rs}
+				workCh[k] <- spanTask{resc: rs}
 			}
 			rs.snapWG.Wait()
 			close(rs.ready)
@@ -303,63 +410,26 @@ func (r *concRun) runKeyPartitionedCol(id NodeID, n *node, cp ops.ColPartitionab
 			n.stats.Replicas = want
 			n.stats.Rescales++
 		}
-		routeElem := func(port int, e stream.Element) {
+		// route sends one data row with timestamp ts and partition hash h
+		// to its replica: a row element e, or row `row` of batch b.
+		route := func(port int, ts int64, h uint64, e stream.Element, b *stream.Batch, row int32) {
 			n.stats.In++
-			if e.IsPunct() {
-				if e.Punct.Ts > synthed[port] {
-					synthed[port] = e.Punct.Ts
-				}
-				broadcast(port, e)
-				return
-			}
-			ts := e.Tuple.Ts
 			if ts < maxTs[port] && maxTs[port] > synthed[port] {
+				// Late element: replicas owning other keys saw none of the
+				// higher timestamps — restore the implicit watermark the
+				// serial run would have derived from them. The broadcast
+				// flushes every open task; routing continues into fresh
+				// ones.
 				synthed[port] = maxTs[port]
 				broadcast(port, stream.Punct(&stream.Punctuation{Ts: maxTs[port]}))
 			} else if ts > maxTs[port] {
 				maxTs[port] = ts
 			}
-			k := int(cp.PartitionHash(port, e.Tuple) % uint64(act))
+			k := int(h % uint64(act))
 			n.stats.Routed[k]++
-			addElem(k, port, e, seq)
+			add(k, port, e, b, row, seq)
 			seq++
 			if len(open[k].ports) >= r.opts.BatchSize {
-				flushTask(k)
-			}
-		}
-		routeRow := func(port int, ent *colPQEntry, idx int) {
-			n.stats.In++
-			r32 := ent.row(idx)
-			ts := ent.b.Ts[r32]
-			if ts < maxTs[port] && maxTs[port] > synthed[port] {
-				// Late row: restore the implicit watermark, exactly as the
-				// row lane does. The broadcast flushes every open task;
-				// the run loop below simply keeps appending to fresh ones.
-				synthed[port] = maxTs[port]
-				broadcast(port, stream.Punct(&stream.Punctuation{Ts: maxTs[port]}))
-			} else if ts > maxTs[port] {
-				maxTs[port] = ts
-			}
-			k := int(ent.hs[idx] % uint64(act))
-			n.stats.Routed[k]++
-			t := &open[k]
-			if t.ports == nil {
-				t.elems = make([]stream.Element, 0, r.opts.BatchSize)
-				t.bs = make([]*stream.Batch, 0, r.opts.BatchSize)
-				t.rows = make([]int32, 0, r.opts.BatchSize)
-				t.ports = make([]uint8, 0, r.opts.BatchSize)
-				t.seqs = make([]uint64, 0, r.opts.BatchSize)
-			}
-			if l := len(t.bs); l == 0 || t.bs[l-1] != ent.b || t.ports[l-1] != uint8(port) {
-				ent.b.Retain() // one task reference per contiguous run
-			}
-			t.elems = append(t.elems, stream.Element{})
-			t.bs = append(t.bs, ent.b)
-			t.rows = append(t.rows, r32)
-			t.ports = append(t.ports, uint8(port))
-			t.seqs = append(t.seqs, seq)
-			seq++
-			if len(t.ports) >= r.opts.BatchSize {
 				flushTask(k)
 			}
 		}
@@ -369,14 +439,24 @@ func (r *concRun) runKeyPartitionedCol(id NodeID, n *node, cp ops.ColPartitionab
 		// least one element always routes — progress is guaranteed.
 		releaseHead := func(pt int, limit int64, strict bool) {
 			ent := &qs[pt].q[qs[pt].head]
-			if ent.b == nil {
-				routeElem(pt, ent.e)
+			cb := ent.cb
+			if cb == nil {
+				if e := ent.e; e.IsPunct() {
+					n.stats.In++
+					if e.Punct.Ts > synthed[pt] {
+						synthed[pt] = e.Punct.Ts
+					}
+					broadcast(pt, e)
+				} else {
+					route(pt, e.Tuple.Ts, kp.PartitionHash(pt, e.Tuple), e, nil, 0)
+				}
 				popEntry(pt)
 				return
 			}
-			nn := ent.n()
-			for ent.pos < nn {
-				ts := ent.b.Ts[ent.row(ent.pos)]
+			nn := cb.n()
+			for cb.pos < nn {
+				r32 := cb.row(cb.pos)
+				ts := cb.b.Ts[r32]
 				if strict {
 					if ts >= limit {
 						break
@@ -384,11 +464,13 @@ func (r *concRun) runKeyPartitionedCol(id NodeID, n *node, cp ops.ColPartitionab
 				} else if ts > limit {
 					break
 				}
-				routeRow(pt, ent, ent.pos)
-				ent.pos++
+				route(pt, ts, cb.hs[cb.pos], stream.Element{}, cb.b, r32)
+				cb.pos++
 			}
-			if ent.pos == nn {
-				ent.b.Release() // the splitter's queue reference
+			if cb.pos == nn {
+				cb.b.Release() // the splitter's queue reference
+				*cb = batchEntry{hs: cb.hs[:0]}
+				spare = append(spare, cb)
 				popEntry(pt)
 			}
 		}
@@ -398,41 +480,46 @@ func (r *concRun) runKeyPartitionedCol(id NodeID, n *node, cp ops.ColPartitionab
 				t1, ok1 := headTs(1)
 				switch {
 				case ok0 && ok1:
-					// Same interleave as the row lane: smaller head
-					// timestamp first, ties to port 0. Releasing a run is
-					// exact because the bounding head of the other port
-					// does not move while this port routes.
+					// Smaller head timestamp first, ties to port 0.
+					// Releasing a run is exact because the bounding head of
+					// the other port does not move while this port routes.
 					if t1 < t0 {
 						releaseHead(1, t0, true)
 					} else {
 						releaseHead(0, t1, false)
 					}
-				case ok0:
-					if !closed && t0 > pw[1] {
-						return
+				case ok0 || ok1:
+					// The other port is empty: release up to its
+					// punctuation watermark, or everything once the input
+					// has closed.
+					pt, ts := 0, t0
+					if ok1 {
+						pt, ts = 1, t1
 					}
-					limit := pw[1]
+					limit := pw[1-pt]
 					if closed {
 						limit = math.MaxInt64
-					}
-					releaseHead(0, limit, false)
-				case ok1:
-					if !closed && t1 > pw[0] {
+					} else if ts > limit {
 						return
 					}
-					limit := pw[0]
-					if closed {
-						limit = math.MaxInt64
-					}
-					releaseHead(1, limit, false)
+					releaseHead(pt, limit, false)
 				default:
 					return
 				}
 			}
 		}
 		enqueueCol := func(port int, b *stream.Batch) {
+			var cb *batchEntry
+			if l := len(spare); l > 0 {
+				cb, spare = spare[l-1], spare[:l-1]
+			} else {
+				cb = new(batchEntry)
+			}
 			nr := b.N()
-			hs := make([]uint64, nr)
+			if cap(cb.hs) < nr {
+				cb.hs = make([]uint64, nr)
+			}
+			cb.b, cb.rows, cb.hs = b, b.Sel, cb.hs[:nr]
 			hrows := b.Sel
 			if hrows == nil {
 				if cap(hashRamp) < nr {
@@ -443,19 +530,19 @@ func (r *concRun) runKeyPartitionedCol(id NodeID, n *node, cp ops.ColPartitionab
 					hrows[i] = int32(i)
 				}
 			}
-			cp.PartitionHashCol(port, b, hrows, hs)
-			qs[port].q = append(qs[port].q, colPQEntry{b: b, rows: b.Sel, hs: hs})
+			kp.PartitionHashCol(port, b, hrows, cb.hs)
+			qs[port].q = append(qs[port].q, queueEntry{cb: cb})
 		}
 		if r.restore != nil {
-			// Restored in-flight elements re-enter as row entries; the
-			// section bytes are shared with the row lane, so either mode
-			// restores the other's cut.
+			// The port-merge buffers are part of the cut: elements that
+			// had arrived but could not yet be released in serial order.
+			// They re-enter as row entries whichever lane wrote them.
 			if data := r.restore.Section(splitName(id)); data != nil {
 				dec := ckpt.NewDecoder(data)
 				for pt := 0; pt < 2; pt++ {
 					cnt := int(dec.Uvarint())
 					for i := 0; i < cnt; i++ {
-						qs[pt].q = append(qs[pt].q, colPQEntry{e: dec.Element()})
+						qs[pt].q = append(qs[pt].q, queueEntry{e: dec.Element()})
 					}
 				}
 				for pt := 0; pt < 2; pt++ {
@@ -471,28 +558,31 @@ func (r *concRun) runKeyPartitionedCol(id NodeID, n *node, cp ops.ColPartitionab
 		var snapRow tuple.Tuple
 		var snapVals []tuple.Value
 		snapshotQueues := func(epoch int64) {
-			// Byte-identical to the row splitter's section: still-queued
-			// batch rows are materialized into elements for encoding.
+			// Still-queued batch rows are materialized into elements, so
+			// the section bytes are the same whichever lane queued them.
 			enc := &ckpt.Encoder{}
 			for pt := 0; pt < 2; pt++ {
 				total := 0
-				for i := qs[pt].head; i < len(qs[pt].q); i++ {
-					ent := &qs[pt].q[i]
-					total += ent.n() - ent.pos
+				for _, ent := range qs[pt].q[qs[pt].head:] {
+					if cb := ent.cb; cb != nil {
+						total += cb.n() - cb.pos
+					} else {
+						total++
+					}
 				}
 				enc.Uvarint(uint64(total))
-				for i := qs[pt].head; i < len(qs[pt].q); i++ {
-					ent := &qs[pt].q[i]
-					if ent.b == nil {
+				for _, ent := range qs[pt].q[qs[pt].head:] {
+					cb := ent.cb
+					if cb == nil {
 						enc.Element(ent.e)
 						continue
 					}
-					if cap(snapVals) < len(ent.b.Cols) {
-						snapVals = make([]tuple.Value, len(ent.b.Cols))
+					if cap(snapVals) < len(cb.b.Cols) {
+						snapVals = make([]tuple.Value, len(cb.b.Cols))
 					}
-					snapRow.Vals = snapVals[:len(ent.b.Cols)]
-					for x := ent.pos; x < ent.n(); x++ {
-						ent.b.GatherRow(int(ent.row(x)), &snapRow)
+					snapRow.Vals = snapVals[:len(cb.b.Cols)]
+					for x := cb.pos; x < cb.n(); x++ {
+						cb.b.GatherRow(int(cb.row(x)), &snapRow)
 						enc.Element(stream.Tup(&snapRow))
 					}
 				}
@@ -528,12 +618,15 @@ func (r *concRun) runKeyPartitionedCol(id NodeID, n *node, cp ops.ColPartitionab
 					kbars++
 					if kbars == r.inw[id] {
 						kbars = 0
+						// Push everything releasable to the replicas, then
+						// snapshot what must stay buffered and broadcast the
+						// barrier so each partition cuts after its share.
 						release(false)
 						if r.ctl != nil {
 							snapshotQueues(e.Punct.Barrier)
 						}
 						for k := 0; k < p; k++ {
-							addElem(k, m.port, e, noSeq)
+							add(k, m.port, e, nil, 0, noSeq)
 							flushTask(k)
 						}
 					}
@@ -542,7 +635,7 @@ func (r *concRun) runKeyPartitionedCol(id NodeID, n *node, cp ops.ColPartitionab
 				if e.IsPunct() && e.Punct.Ts > pw[m.port] {
 					pw[m.port] = e.Punct.Ts
 				}
-				qs[m.port].q = append(qs[m.port].q, colPQEntry{e: e})
+				qs[m.port].q = append(qs[m.port].q, queueEntry{e: e})
 			}
 			r.pool.Put(m.elems)
 			release(false)
@@ -556,10 +649,14 @@ func (r *concRun) runKeyPartitionedCol(id NodeID, n *node, cp ops.ColPartitionab
 		}
 	}()
 
-	// Merger: restore global data-sequence order, reassembling output
-	// spans column-wise into pooled batches.
+	// Merger: restore global data-sequence order across replicas. On a
+	// columnar run spans reassemble column-wise into pooled batches; on a
+	// row run they go element by element into the edge writer.
 	w := r.newEdgeWriter(n.out, id)
-	mpool := stream.NewColPool(outSchema, r.opts.BatchSize)
+	var mpool *stream.ColPool
+	if col {
+		mpool = stream.NewColPool(outSchema, r.opts.BatchSize)
+	}
 	var cur *stream.Batch
 	flushCur := func() {
 		if cur == nil {
@@ -569,31 +666,34 @@ func (r *concRun) runKeyPartitionedCol(id NodeID, n *node, cp ops.ColPartitionab
 		cur = nil
 		w.addBatch(b) // addBatch releases empty batches itself
 	}
-	type colRep struct {
-		out  *stream.Batch
-		left int
-	}
-	type colSpan struct {
-		rep    *colRep
+	type span struct {
+		rep    *spanReply
 		lo, hi int32
 	}
-	deliver := func(s colSpan) {
-		if s.hi > s.lo {
-			if cur == nil {
-				cur = mpool.Get()
+	deliver := func(s span) {
+		if s.rep.out != nil {
+			if s.hi > s.lo {
+				if cur == nil {
+					cur = mpool.Get()
+				}
+				cur.AppendSpan(s.rep.out, int(s.lo), int(s.hi))
+				n.stats.Out += int64(s.hi - s.lo)
+				if cur.Rows() >= r.opts.BatchSize {
+					flushCur()
+				}
 			}
-			cur.AppendSpan(s.rep.out, int(s.lo), int(s.hi))
-			n.stats.Out += int64(s.hi - s.lo)
-			if cur.Rows() >= r.opts.BatchSize {
-				flushCur()
+		} else {
+			for _, e := range s.rep.outs[s.lo:s.hi] {
+				n.stats.Out++
+				w.add(e)
 			}
 		}
 		s.rep.left--
 		if s.rep.left == 0 {
-			s.rep.out.Release()
+			s.rep.free(r)
 		}
 	}
-	held := make(map[uint64]colSpan)
+	held := make(map[uint64]span)
 	var next uint64
 	flushes := make([][]stream.Element, p)
 	kmbar := 0
@@ -612,14 +712,16 @@ func (r *concRun) runKeyPartitionedCol(id NodeID, n *node, cp ops.ColPartitionab
 			continue
 		}
 		if len(rep.seqs) == 0 {
-			rep.out.Release()
+			rep.free(r)
 			continue
 		}
-		rp := &colRep{out: rep.out, left: len(rep.seqs)}
+		rp := new(spanReply)
+		*rp = rep
+		rp.left = len(rp.seqs)
 		var lo int32
-		for i, s := range rep.seqs {
-			sp := colSpan{rep: rp, lo: lo, hi: rep.ends[i]}
-			lo = rep.ends[i]
+		for i, s := range rp.seqs {
+			sp := span{rep: rp, lo: lo, hi: rp.ends[i]}
+			lo = rp.ends[i]
 			if s != next {
 				held[s] = sp
 				continue
@@ -637,6 +739,8 @@ func (r *concRun) runKeyPartitionedCol(id NodeID, n *node, cp ops.ColPartitionab
 			}
 		}
 	}
+	// Every sequence number is reported exactly once, so nothing is left
+	// held; be defensive anyway and drain in order.
 	for len(held) > 0 {
 		h, ok := held[next]
 		if !ok {
@@ -647,6 +751,8 @@ func (r *concRun) runKeyPartitionedCol(id NodeID, n *node, cp ops.ColPartitionab
 		next++
 	}
 	flushCur()
+	// Flush outputs last, in replica order: deterministic, and correct —
+	// a flush can only depend on the complete input, which precedes it.
 	for _, fo := range flushes {
 		if fo == nil {
 			continue
@@ -659,4 +765,60 @@ func (r *concRun) runKeyPartitionedCol(id NodeID, n *node, cp ops.ColPartitionab
 	}
 	w.flush()
 	r.closeDownstream(n.out)
+}
+
+// applyRescale is one pool worker's half of a live key-partition
+// re-split: snapshot the current replica into its section slot, signal
+// the splitter, wait for the full section set, then rebuild this
+// worker's slice of the key space at the new width with a fresh clone.
+// Errors and panics detach the node but always complete the handshake
+// (Done before any return), so the quiesced splitter cannot deadlock on
+// a failed replica. Workers beyond the new active width come back with
+// an empty clone — their old tuples now live under other replicas'
+// hashes.
+func (r *concRun) applyRescale(rs *rescaleOp, k int, id NodeID, n *node, op ops.Operator, clone func() ops.Operator, crashed *atomic.Bool) ops.Operator {
+	var data []byte
+	if !crashed.Load() {
+		func() {
+			defer func() {
+				if rec := recover(); rec != nil {
+					r.g.recordPanic(id, n, rec)
+					crashed.Store(true)
+				}
+			}()
+			if s, ok := op.(ckpt.Snapshotter); ok {
+				enc := &ckpt.Encoder{}
+				if err := s.Snapshot(enc); err != nil {
+					panic(err)
+				}
+				data = enc.Bytes()
+			}
+		}()
+	}
+	rs.sections[k] = data
+	rs.snapWG.Done()
+	<-rs.ready
+	if crashed.Load() {
+		return op
+	}
+	nop := clone()
+	if k < rs.newAct {
+		if sr, ok := nop.(ops.StateRescaler); ok {
+			func() {
+				defer func() {
+					if rec := recover(); rec != nil {
+						r.g.recordPanic(id, n, rec)
+						crashed.Store(true)
+					}
+				}()
+				if err := sr.RestorePartition(rs.sections, k, rs.newAct); err != nil {
+					panic(err)
+				}
+			}()
+			if crashed.Load() {
+				return op
+			}
+		}
+	}
+	return nop
 }

@@ -37,30 +37,6 @@ import (
 	"streamdb/internal/tuple"
 )
 
-// ColPartitionable marks KeyPartitionable operators whose replicas
-// consume selection-vector spans of column batches natively, letting
-// the key-partition router move whole batches: the splitter hashes the
-// key column once per batch (PartitionHashCol), builds per-replica row
-// spans over the same retained batch, and workers run ProcessColSpan
-// instead of materializing rows.
-type ColPartitionable interface {
-	KeyPartitionable
-
-	// PartitionHashCol writes PartitionHash of each listed row into the
-	// parallel out slice (len(out) >= len(rows)). It must be a pure
-	// function of the batch contents — the splitter calls it outside
-	// the replica goroutines.
-	PartitionHashCol(port int, b *stream.Batch, rows []int32, out []uint64)
-
-	// ProcessColSpan pushes the listed rows of b through the operator,
-	// appending join output rows densely to out and, per input row, the
-	// cumulative output row count to ends (the sequence-restoring merge
-	// maps each input row to its output span). Unlike ProcessBatch it
-	// does NOT consume a reference on b: the caller owns batch
-	// lifetime. Returns the extended ends slice.
-	ProcessColSpan(port int, b *stream.Batch, rows []int32, out *stream.Batch, ends []int32) []int32
-}
-
 // WindowJoin columnar plan states.
 const (
 	colJoinNone = int8(iota) // not planned yet
@@ -383,7 +359,7 @@ func (j *WindowJoin) ProcessBatch(port int, b *stream.Batch, emitB EmitBatch, em
 	}
 }
 
-// ProcessColSpan implements ColPartitionable. The row plan still
+// ProcessColSpan implements KeyPartitionable. The row plan still
 // honors the span contract — gather each row, run the exact row path,
 // record per-row output offsets — so partition replicas outside the
 // fast envelope (multi-column or generic keys) keep working.
@@ -523,7 +499,7 @@ func (j *WindowJoin) processColRows(port int, b *stream.Batch, rows []int32, out
 	return ends
 }
 
-// PartitionHashCol implements ColPartitionable with the same per-row
+// PartitionHashCol implements KeyPartitionable with the same per-row
 // hashes PartitionHash produces, fast lane included.
 func (j *WindowJoin) PartitionHashCol(port int, b *stream.Batch, rows []int32, out []uint64) {
 	s := j.sides[port]
@@ -575,7 +551,7 @@ func (x *XJoin) ProcessBatch(port int, b *stream.Batch, emitB EmitBatch, _ Emit)
 	}
 }
 
-// ProcessColSpan implements ColPartitionable.
+// ProcessColSpan implements KeyPartitionable.
 func (x *XJoin) ProcessColSpan(port int, b *stream.Batch, rows []int32, out *stream.Batch, ends []int32) []int32 {
 	if ends == nil {
 		ends = make([]int32, 0, len(rows))
@@ -623,7 +599,7 @@ func (x *XJoin) processColRows(port int, b *stream.Batch, rows []int32, out *str
 	return ends
 }
 
-// PartitionHashCol implements ColPartitionable, matching PartitionHash.
+// PartitionHashCol implements KeyPartitionable, matching PartitionHash.
 func (x *XJoin) PartitionHashCol(port int, b *stream.Batch, rows []int32, out []uint64) {
 	tuple.HashColsRows(b.Cols, x.keys[port], rows, out)
 }

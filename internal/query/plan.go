@@ -46,6 +46,8 @@ func (p *Plan) Build(g *exec.Graph, sources map[string]stream.Source) error {
 
 // Run compiles and executes a query over the given sources, returning
 // up to limit result tuples (limit < 0 = all, sources must be finite).
+// An operator failure stops the run; the rows delivered before it come
+// back with the failure as the error.
 func Run(text string, cat *Catalog, sources map[string]stream.Source, limit int) ([]*tuple.Tuple, *Plan, error) {
 	q, err := Parse(text)
 	if err != nil {
@@ -65,7 +67,7 @@ func Run(text string, cat *Catalog, sources map[string]stream.Source, limit int)
 		return nil, nil, err
 	}
 	g.Run(-1)
-	return out, plan, nil
+	return out, plan, g.Err()
 }
 
 // Compile analyzes and plans a parsed query.

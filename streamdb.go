@@ -161,7 +161,8 @@ type Result struct {
 }
 
 // Query compiles and runs a query to completion over the bound
-// (finite) sources, returning all result rows.
+// (finite) sources, returning all result rows, or the first operator
+// failure if one stopped the run.
 func (e *Engine) Query(sql string) (*Result, error) {
 	rows, plan, err := query.Run(sql, e.cat, e.sources, -1)
 	if err != nil {
@@ -172,7 +173,8 @@ func (e *Engine) Query(sql string) (*Result, error) {
 
 // QueryInto compiles the query and streams results to sink instead of
 // collecting them; it returns the plan. Use for unbounded sources with
-// a tuple budget.
+// a tuple budget. An operator failure stops the run and is returned
+// with the plan.
 func (e *Engine) QueryInto(sql string, maxElements int64, sink func(*Tuple)) (*Plan, error) {
 	q, err := query.Parse(sql)
 	if err != nil {
@@ -191,5 +193,5 @@ func (e *Engine) QueryInto(sql string, maxElements int64, sink func(*Tuple)) (*P
 		return nil, err
 	}
 	g.Run(maxElements)
-	return plan, nil
+	return plan, g.Err()
 }

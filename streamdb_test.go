@@ -121,3 +121,55 @@ func TestCompileExposesAnalysis(t *testing.T) {
 		t.Errorf("explain:\n%s", plan.Explain())
 	}
 }
+
+// TestFrontDoorReportsOperatorFailure: a tuple missing an attribute the
+// query reads panics inside the filter, and FailFast halts the graph
+// with the rest of the input unread. Every entry point must say so
+// instead of returning a short result with a nil error.
+func TestFrontDoorReportsOperatorFailure(t *testing.T) {
+	sch := NewSchema("S",
+		Field{Name: "time", Kind: KindTime, Ordering: true},
+		Field{Name: "v", Kind: KindInt})
+	t1 := NewTuple(1, Time(1), Int(5))
+	short := NewTuple(2, Time(2)) // no v
+	t3 := NewTuple(3, Time(3), Int(7))
+	const sql = "select time, v from S where v > 1"
+	engine := func(t *testing.T) *Engine {
+		eng := New()
+		eng.RegisterSchema("S", sch)
+		if err := eng.SetSource("S", FromTuples(sch, t1, short, t3)); err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+
+	t.Run("Query", func(t *testing.T) {
+		if res, err := engine(t).Query(sql); err == nil {
+			t.Fatalf("Query returned %d rows and a nil error", len(res.Rows))
+		}
+	})
+	t.Run("QueryInto", func(t *testing.T) {
+		n := 0
+		if _, err := engine(t).QueryInto(sql, -1, func(*Tuple) { n++ }); err == nil {
+			t.Fatalf("QueryInto delivered %d rows and returned a nil error", n)
+		}
+	})
+	t.Run("Feed", func(t *testing.T) {
+		eng := New()
+		eng.RegisterSchema("S", sch)
+		cq, err := eng.RegisterContinuous(sql, func(*Tuple) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cq.Close()
+		if err := cq.Feed("S", t1); err != nil {
+			t.Fatal(err)
+		}
+		if err := cq.Feed("S", short); err == nil {
+			t.Fatal("Feed of a failing tuple returned a nil error")
+		}
+		if err := cq.Advance("S", 3); err == nil {
+			t.Fatal("Advance after a failure returned a nil error")
+		}
+	})
+}
