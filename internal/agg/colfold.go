@@ -271,7 +271,7 @@ func (g *GroupBy) foldColSpan(tbl *groupTable, b *stream.Batch, rows []int32) {
 				if st, ok := grp.states[i].(*countState); ok {
 					st.n++
 				} else {
-					g.updateOne(grp, i, ca, b, rows[k])
+					g.updateOne(tbl, grp, i, ca, b, rows[k])
 				}
 			}
 			continue
@@ -284,7 +284,7 @@ func (g *GroupBy) foldColSpan(tbl *groupTable, b *stream.Batch, rows []int32) {
 						st.any = true
 					}
 				} else {
-					g.updateOne(grp, i, ca, b, rows[k])
+					g.updateOne(tbl, grp, i, ca, b, rows[k])
 				}
 			}
 			continue
@@ -297,7 +297,7 @@ func (g *GroupBy) foldColSpan(tbl *groupTable, b *stream.Batch, rows []int32) {
 						st.n++
 					}
 				} else {
-					g.updateOne(grp, i, ca, b, rows[k])
+					g.updateOne(tbl, grp, i, ca, b, rows[k])
 				}
 			}
 			continue
@@ -311,13 +311,13 @@ func (g *GroupBy) foldColSpan(tbl *groupTable, b *stream.Batch, rows []int32) {
 						st.n++
 					}
 				} else {
-					g.updateOne(grp, i, ca, b, rows[k])
+					g.updateOne(tbl, grp, i, ca, b, rows[k])
 				}
 			}
 			continue
 		}
 		for k, grp := range run {
-			g.updateOne(grp, i, ca, b, rows[k])
+			g.updateOne(tbl, grp, i, ca, b, rows[k])
 		}
 	}
 }
@@ -326,12 +326,12 @@ func (g *GroupBy) foldColSpan(tbl *groupTable, b *stream.Batch, rows []int32) {
 // interface-dispatch lane for states whose concrete type deviates from
 // the plan (never in practice — states come from Fn.New) and for
 // aggregates without a typed loop.
-func (g *GroupBy) updateOne(grp *group, i int, ca *colAgg, b *stream.Batch, r int32) {
-	if ca.col < 0 {
-		grp.states[i].Add(tuple.Int(1))
-	} else {
-		grp.states[i].Add(b.Cols[ca.col][r])
+func (g *GroupBy) updateOne(tbl *groupTable, grp *group, i int, ca *colAgg, b *stream.Batch, r int32) {
+	v := tuple.Int(1)
+	if ca.col >= 0 {
+		v = b.Cols[ca.col][r]
 	}
+	g.addState(tbl, grp, i, v)
 }
 
 // locateColGroup is evalKeys+locateGroup reading the key values out of
@@ -349,4 +349,3 @@ func (g *GroupBy) locateColGroup(tbl *groupTable, b *stream.Batch, r int) *group
 	g.scratch = keys
 	return g.locateGroup(tbl, keys, h)
 }
-

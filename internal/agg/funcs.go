@@ -51,6 +51,65 @@ type State interface {
 	MemSize() int
 }
 
+// sizeVaries reports whether st's MemSize can change after creation,
+// given the aggregate argument's kind. Count, sum, avg, stddev and the
+// fixed-bitmap FM sketch never change size; min/max changes only when it
+// can hold a string; exact distinct, exact median and GK grow with
+// their input. Unknown states are assumed to vary.
+func sizeVaries(st State, arg tuple.Kind) bool {
+	switch st.(type) {
+	case *countState, *sumState, *avgState, *stddevState, *fmState:
+		return false
+	case *minmaxState:
+		return arg == tuple.KindString || arg == tuple.KindNull
+	}
+	return true
+}
+
+// varSizes marks the aggregates whose states pay a MemSize delta on each
+// update (see sizeVaries).
+func varSizes(aggs []Spec) []bool {
+	vs := make([]bool, len(aggs))
+	for i, a := range aggs {
+		arg := tuple.KindInt
+		if a.Arg != nil {
+			arg = a.Arg.Kind()
+		}
+		vs[i] = sizeVaries(a.Fn.New(), arg)
+	}
+	return vs
+}
+
+// statesBytes sums the footprints of a group's accumulators.
+func statesBytes[S State](states []S) int {
+	n := 0
+	for _, st := range states {
+		n += st.MemSize()
+	}
+	return n
+}
+
+// keysBytes sums the footprints of a group's key values.
+func keysBytes(keys []tuple.Value) int {
+	n := 0
+	for _, k := range keys {
+		n += k.MemSize()
+	}
+	return n
+}
+
+// addSized folds v into st and returns the change in st's footprint;
+// vary is false for states sizeVaries rules out, which then pay nothing.
+func addSized(st State, v tuple.Value, vary bool) int {
+	if !vary {
+		st.Add(v)
+		return 0
+	}
+	before := st.MemSize()
+	st.Add(v)
+	return st.MemSize() - before
+}
+
 // Func describes an aggregate function.
 type Func struct {
 	Name  string

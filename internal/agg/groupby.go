@@ -48,6 +48,19 @@ type GroupBy struct {
 	maxGroups int           // high-water mark of concurrent group states
 	scratch   []tuple.Value // reusable key buffer for fold
 
+	// Footprint accounting: live groups (the bounded-memory quantity
+	// [ABB+02] analyzes, slides 35-36) and their bytes, summed over every
+	// table the operator owns (legacy/late windows, panes, the unbounded
+	// table) and maintained wherever groups enter or leave, so MemSize
+	// and trackGroups read fields. combTbl is transient close
+	// scratch and is not counted. freshBytes is a new group's footprint
+	// before its keys; varSize marks the aggregates whose updates pay a
+	// MemSize delta.
+	live       int
+	bytes      int
+	freshBytes int
+	varSize    []bool
+
 	// Pane path (see pane.go): active when paneAsn != nil. Each tuple
 	// updates exactly one slide-aligned pane; windows are folded from
 	// pane partials at close time.
@@ -97,6 +110,7 @@ type groupTable struct {
 	// comparing key values.
 	groups map[uint64][]*group
 	n      int
+	bytes  int // footprint of the table's groups (see groupBytes)
 	// cache direct-indexes groups by the raw payload of a single small
 	// scalar grouping key (see colfold.go), bypassing the hash chain on
 	// repeat keys. The FNV chain stays authoritative: the cache is filled
@@ -108,6 +122,16 @@ type groupTable struct {
 type group struct {
 	keys   []tuple.Value
 	states []State
+}
+
+// groupOverhead approximates a group's fixed cost: struct, chain slot
+// and map cell share.
+const groupOverhead = 32
+
+// groupBytes is one group's footprint: the walk the table counters are
+// kept equal to, paid only when a group leaves a table.
+func groupBytes(grp *group) int {
+	return groupOverhead + keysBytes(grp.keys) + statesBytes(grp.states)
 }
 
 // NewGroupBy builds a grouped aggregate. groupBy expressions become the
@@ -142,6 +166,7 @@ func NewGroupBy(name string, in *tuple.Schema, groupBy []expr.Expr, groupNames [
 		keyCols: expr.CompileCols(groupBy),
 		scratch: make([]tuple.Value, 0, len(groupBy)),
 	}
+	g.initFootprint()
 	if spec.Kind == window.KindTime {
 		if window.PaneCompatible(spec) && allPartializable(aggs) {
 			// Pane path: O(1) state updates per tuple, windows folded
@@ -173,6 +198,29 @@ func NewGroupBy(name string, in *tuple.Schema, groupBy []expr.Expr, groupNames [
 		g.having = h
 	}
 	return g, nil
+}
+
+// initFootprint derives the constant parts of the footprint counters
+// from the aggregate specs.
+func (g *GroupBy) initFootprint() {
+	g.freshBytes = groupOverhead
+	for _, a := range g.aggs {
+		g.freshBytes += a.Fn.New().MemSize()
+	}
+	g.varSize = varSizes(g.aggs)
+}
+
+// charge adds d bytes of group state to tbl and the operator total.
+func (g *GroupBy) charge(tbl *groupTable, d int) {
+	tbl.bytes += d
+	g.bytes += d
+}
+
+// release takes a table that leaves the operator (emitted, retired or
+// replaced) out of the operator totals.
+func (g *GroupBy) release(tbl *groupTable) {
+	g.live -= tbl.n
+	g.bytes -= tbl.bytes
 }
 
 // Name implements ops.Operator.
@@ -228,11 +276,10 @@ func (g *GroupBy) pushRow(t *tuple.Tuple, emit ops.Emit) {
 
 // trackGroups samples the live-group high-water mark. Group counts only
 // grow between removal events (advance, closeGroups, Flush), so sampling
-// at those boundaries observes the exact maximum without paying an
-// O(windows) scan per tuple.
+// at those boundaries observes the exact maximum.
 func (g *GroupBy) trackGroups() {
-	if n := g.liveGroups(); n > g.maxGroups {
-		g.maxGroups = n
+	if g.live > g.maxGroups {
+		g.maxGroups = g.live
 	}
 }
 
@@ -289,6 +336,8 @@ func (g *GroupBy) locateGroup(tbl *groupTable, keys []tuple.Value, h uint64) *gr
 	}
 	tbl.groups[h] = append(tbl.groups[h], grp)
 	tbl.n++
+	g.live++
+	g.charge(tbl, g.freshBytes+keysBytes(keys))
 	return grp
 }
 
@@ -296,11 +345,19 @@ func (g *GroupBy) fold(tbl *groupTable, t *tuple.Tuple) {
 	keys, h := g.evalKeys(t)
 	grp := g.locateGroup(tbl, keys, h)
 	for i, a := range g.aggs {
-		if a.Arg == nil {
-			grp.states[i].Add(tuple.Int(1))
-		} else {
-			grp.states[i].Add(a.Arg.Eval(t))
+		v := tuple.Int(1)
+		if a.Arg != nil {
+			v = a.Arg.Eval(t)
 		}
+		g.addState(tbl, grp, i, v)
+	}
+}
+
+// addState folds v into grp's i-th accumulator, charging tbl for any
+// change in the state's footprint.
+func (g *GroupBy) addState(tbl *groupTable, grp *group, i int, v tuple.Value) {
+	if d := addSized(grp.states[i], v, g.varSize[i]); d != 0 {
+		g.charge(tbl, d)
 	}
 }
 
@@ -342,6 +399,7 @@ func (g *GroupBy) advance(now int64, emit ops.Emit) {
 	sort.Slice(due, func(i, j int) bool { return due[i] < due[j] })
 	for _, start := range due {
 		g.emitTable(g.windows[start], emit)
+		g.release(g.windows[start])
 		delete(g.windows, start)
 	}
 }
@@ -431,7 +489,7 @@ func (g *GroupBy) closeGroups(p *stream.Punctuation, emit ops.Emit) {
 		return
 	}
 	closeIn := func(tbl *groupTable, end int64) {
-		done := tbl.removeMatching(bounds)
+		done := g.removeMatching(tbl, bounds)
 		sortGroups(done)
 		for _, grp := range done {
 			g.emitGroup(end, grp, emit)
@@ -482,9 +540,9 @@ func matchBounds(keys []tuple.Value, bounds []keyBound) bool {
 	return true
 }
 
-// removeMatching extracts (and removes) every group whose keys satisfy
-// the bounds.
-func (tbl *groupTable) removeMatching(bounds []keyBound) []*group {
+// removeMatching extracts (and removes) every group of tbl whose keys
+// satisfy the bounds.
+func (g *GroupBy) removeMatching(tbl *groupTable, bounds []keyBound) []*group {
 	var done []*group
 	for h, chain := range tbl.groups {
 		keep := chain[:0]
@@ -492,6 +550,8 @@ func (tbl *groupTable) removeMatching(bounds []keyBound) []*group {
 			if matchBounds(grp.keys, bounds) {
 				done = append(done, grp)
 				tbl.n--
+				g.live--
+				g.charge(tbl, -groupBytes(grp))
 			} else {
 				keep = append(keep, grp)
 			}
@@ -524,6 +584,7 @@ func (g *GroupBy) Flush(emit ops.Emit) {
 		if g.unbounded != nil && g.unbounded.n > 0 {
 			g.unbounded.end = g.watermark
 			g.emitTable(g.unbounded, emit)
+			g.release(g.unbounded)
 			g.unbounded = &groupTable{groups: make(map[uint64][]*group)}
 		}
 		return
@@ -535,55 +596,16 @@ func (g *GroupBy) Flush(emit ops.Emit) {
 	sort.Slice(due, func(i, j int) bool { return due[i] < due[j] })
 	for _, start := range due {
 		g.emitTable(g.windows[start], emit)
+		g.release(g.windows[start])
 		delete(g.windows, start)
 	}
 }
 
-// MemSize implements ops.Operator.
+// MemSize implements ops.Operator: the counters maintained as groups
+// enter and leave (see charge and release), plus each registered
+// window's 16-byte paneWins entry.
 func (g *GroupBy) MemSize() int {
-	n := 128
-	count := func(tbl *groupTable) {
-		for _, chain := range tbl.groups {
-			if len(chain) == 0 {
-				continue // recycled table: warm but empty hash chain
-			}
-			grp := chain[0]
-			n += 32 * len(chain)
-			for _, k := range grp.keys {
-				n += k.MemSize()
-			}
-			for _, st := range grp.states {
-				n += st.MemSize()
-			}
-		}
-	}
-	for _, tbl := range g.windows {
-		count(tbl)
-	}
-	for _, p := range g.panes {
-		count(&p.groupTable)
-	}
-	n += 16 * len(g.paneWins)
-	if g.unbounded != nil {
-		count(g.unbounded)
-	}
-	return n
-}
-
-// liveGroups counts group states across all open windows: the
-// bounded-memory quantity [ABB+02] analyzes (slides 35-36).
-func (g *GroupBy) liveGroups() int {
-	n := 0
-	for _, tbl := range g.windows {
-		n += tbl.n
-	}
-	for _, p := range g.panes {
-		n += p.n
-	}
-	if g.unbounded != nil {
-		n += g.unbounded.n
-	}
-	return n
+	return 128 + g.bytes + 16*len(g.paneWins)
 }
 
 // MaxGroups reports the high-water mark of concurrent group states.

@@ -65,9 +65,15 @@ func resetStates(states []State) bool {
 }
 
 // recycleGroups empties tbl for reuse: resettable groups go onto the
-// freelist, hash chains keep their map cells and capacity so the next
-// fill allocates nothing.
+// freelist. Hash chains normally keep their map cells and capacity so
+// the next fill over the same keys allocates nothing; but a recycled
+// table keeps an empty cell for every key it ever held, and every later
+// close and recycle walks those cells. Once cells exceed 2·live + 64 the
+// map is replaced by one sized to the live count, so a table's cells —
+// and the work of closing a window — stay proportional to live groups,
+// not to the keys ever seen.
 func recycleGroups(tbl *groupTable, free *[]*group) {
+	trim := len(tbl.groups) > 2*tbl.n+64
 	for h, chain := range tbl.groups {
 		for i, grp := range chain {
 			if len(*free) < 1<<14 && resetStates(grp.states) {
@@ -75,14 +81,19 @@ func recycleGroups(tbl *groupTable, free *[]*group) {
 			}
 			chain[i] = nil
 		}
-		tbl.groups[h] = chain[:0]
+		if !trim {
+			tbl.groups[h] = chain[:0]
+		}
+	}
+	if trim {
+		tbl.groups = make(map[uint64][]*group, tbl.n)
 	}
 	for i := range tbl.cache {
 		// Recycled groups are reused by other tables; a stale dense-cache
 		// pointer here would resurrect them (see colfold.go).
 		tbl.cache[i] = nil
 	}
-	tbl.n = 0
+	tbl.n, tbl.bytes = 0, 0
 }
 
 // UsesPanes reports whether the operator runs the pane path.
@@ -226,6 +237,7 @@ func (g *GroupBy) advancePanes(now int64, emit ops.Emit) {
 			} else {
 				g.emitTable(tbl, emit)
 			}
+			g.release(tbl)
 			delete(g.windows, ws)
 			continue
 		}
@@ -238,6 +250,7 @@ func (g *GroupBy) advancePanes(now int64, emit ops.Emit) {
 				g.lastPane = nil
 			}
 			delete(g.panes, ps)
+			g.release(&p.groupTable)
 			recycleGroups(&p.groupTable, &g.groupFree)
 			if len(g.paneFree) < 256 {
 				g.paneFree = append(g.paneFree, p)
@@ -248,27 +261,37 @@ func (g *GroupBy) advancePanes(now int64, emit ops.Emit) {
 
 // emitPaneWindow finalizes one window by folding its panes' partials.
 func (g *GroupBy) emitPaneWindow(ws, we int64, emit ops.Emit) {
-	tbl := g.combineWindow(ws, we, nil)
+	g.emitCombined(ws, g.combineWindow(ws, we, nil), emit)
+}
+
+// emitCombined emits a table combineWindow built, then recycles it: the
+// rows hold copies of every key and result, so the out-groups go back to
+// combFree and combTbl sits empty between closes.
+func (g *GroupBy) emitCombined(ws int64, tbl *groupTable, emit ops.Emit) {
+	if tbl.n == 0 {
+		return // nothing matched: the table is as the last recycle left it
+	}
 	if g.partial {
 		g.emitPartialTable(ws, tbl, emit)
-		return
+	} else {
+		g.emitTable(tbl, emit)
 	}
-	g.emitTable(tbl, emit)
+	recycleGroups(tbl, &g.combFree)
 }
 
 // combineWindow folds the partials of every pane constituting window
 // [ws, we) into per-group result states, visiting panes oldest first
 // (the deterministic fold order). bounds, when non-nil, restricts the
-// fold to groups matching a punctuation's patterns.
+// fold to groups matching a punctuation's patterns. The result is the
+// reusable combTbl, empty on entry (emitCombined recycles it); its
+// out-groups' keys alias pane groups and are only ever replaced, never
+// written through.
 func (g *GroupBy) combineWindow(ws, we int64, bounds []keyBound) *groupTable {
 	tbl := g.combTbl
 	if tbl == nil {
 		tbl = &groupTable{groups: make(map[uint64][]*group)}
 		g.combTbl = tbl
 	}
-	// Reclaim the previous close's out-groups; their keys alias pane
-	// groups and are only ever replaced, never written through.
-	recycleGroups(tbl, &g.combFree)
 	tbl.end = we
 	g.paneAsn.Panes(window.ID{Start: ws, End: we}, func(ps int64) bool {
 		p := g.panes[ps]
@@ -335,18 +358,11 @@ func (g *GroupBy) closeGroupsPanes(end int64, bounds []keyBound, emit ops.Emit) 
 	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
 	for _, ws := range starts {
 		tbl := g.combineWindow(ws, g.paneWins[ws], bounds)
-		if tbl.n == 0 {
-			continue
-		}
 		tbl.end = end
-		if g.partial {
-			g.emitPartialTable(ws, tbl, emit)
-		} else {
-			g.emitTable(tbl, emit)
-		}
+		g.emitCombined(ws, tbl, emit)
 	}
 	for _, p := range g.panes {
-		p.removeMatching(bounds)
+		g.removeMatching(&p.groupTable, bounds)
 	}
 	// Late-reopened windows keep legacy side tables; close matching
 	// groups there too.
@@ -357,7 +373,7 @@ func (g *GroupBy) closeGroupsPanes(end int64, bounds []keyBound, emit ops.Emit) 
 	sort.Slice(lateStarts, func(i, j int) bool { return lateStarts[i] < lateStarts[j] })
 	for _, ws := range lateStarts {
 		tbl := g.windows[ws]
-		done := tbl.removeMatching(bounds)
+		done := g.removeMatching(tbl, bounds)
 		if len(done) == 0 {
 			continue
 		}
@@ -391,11 +407,15 @@ func (g *GroupBy) flushPanes(emit ops.Emit) {
 			} else {
 				g.emitTable(tbl, emit)
 			}
+			g.release(tbl)
 			delete(g.windows, ws)
 			continue
 		}
 		g.emitPaneWindow(ws, g.paneWins[ws], emit)
 		delete(g.paneWins, ws)
+	}
+	for _, p := range g.panes {
+		g.release(&p.groupTable)
 	}
 	g.panes = make(map[int64]*paneTable)
 	g.lastPane = nil
@@ -469,7 +489,7 @@ func (g *GroupBy) CanPartial() bool { return g.paneAsn != nil && !g.partial }
 // emits partial records and progress punctuations instead of final
 // rows. HAVING stays with the combiner, which sees merged totals.
 func (g *GroupBy) ClonePartial() ops.Operator {
-	return &GroupBy{
+	c := &GroupBy{
 		name: g.name, groupBy: g.groupBy, groupName: g.groupName,
 		keyCols: g.keyCols, aggs: g.aggs, spec: g.spec,
 		out:      g.partialSchema(),
@@ -481,6 +501,8 @@ func (g *GroupBy) ClonePartial() ops.Operator {
 		paneNext: math.MaxInt64,
 		partial:  true,
 	}
+	c.initFootprint()
+	return c
 }
 
 // Combiner implements ops.PartialAggregable: the node that merges the
@@ -489,7 +511,8 @@ func (g *GroupBy) Combiner() ops.Operator {
 	return &PaneCombiner{
 		name: g.name + ".combine", nkeys: len(g.groupBy),
 		aggs: g.aggs, having: g.having, out: g.out,
-		groups: make(map[uint64][]*cgroup),
+		groups:  make(map[uint64][]*cgroup),
+		varSize: varSizes(g.aggs),
 	}
 }
 
@@ -506,6 +529,8 @@ type PaneCombiner struct {
 	out       *tuple.Schema
 	groups    map[uint64][]*cgroup
 	n         int
+	bytes     int    // footprint of the live groups (see cgroupBytes)
+	varSize   []bool // see varSizes
 	watermark int64
 	emitted   int64
 	mergeErrs int64
@@ -515,6 +540,12 @@ type cgroup struct {
 	end, start int64
 	keys       []tuple.Value
 	states     []State
+}
+
+// cgroupBytes is one combiner group's footprint, the walk c.bytes is
+// kept equal to.
+func cgroupBytes(grp *cgroup) int {
+	return 48 + keysBytes(grp.keys) + statesBytes(grp.states)
 }
 
 // Name implements ops.Operator.
@@ -559,14 +590,17 @@ func (c *PaneCombiner) Push(_ int, e stream.Element, emit ops.Emit) {
 		}
 		c.groups[h] = append(c.groups[h], grp)
 		c.n++
+		c.bytes += cgroupBytes(grp)
 	}
 	off := 2 + c.nkeys
 	for i := range c.aggs {
 		st := grp.states[i].(Partializable)
 		arity := len(st.PartialKinds())
-		if err := st.MergePartial(t.Vals[off : off+arity]); err != nil {
+		d, err := mergeSized(st, t.Vals[off:off+arity], c.varSize[i])
+		if err != nil {
 			c.mergeErrs++
 		}
+		c.bytes += d
 		off += arity
 	}
 }
@@ -590,6 +624,7 @@ func (c *PaneCombiner) emitUpTo(now int64, emit ops.Emit) {
 			if grp.end <= now {
 				due = append(due, grp)
 				c.n--
+				c.bytes -= cgroupBytes(grp)
 			} else {
 				keep = append(keep, grp)
 			}
@@ -636,22 +671,9 @@ func (c *PaneCombiner) Flush(emit ops.Emit) {
 	c.emitUpTo(math.MaxInt64, emit)
 }
 
-// MemSize implements ops.Operator.
-func (c *PaneCombiner) MemSize() int {
-	n := 96
-	for _, chain := range c.groups {
-		for _, grp := range chain {
-			n += 48
-			for _, k := range grp.keys {
-				n += k.MemSize()
-			}
-			for _, st := range grp.states {
-				n += st.MemSize()
-			}
-		}
-	}
-	return n
-}
+// MemSize implements ops.Operator: a counter maintained as groups are
+// created, merged into and released.
+func (c *PaneCombiner) MemSize() int { return 96 + c.bytes }
 
 // Emitted reports final rows produced.
 func (c *PaneCombiner) Emitted() int64 { return c.emitted }

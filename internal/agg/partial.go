@@ -24,6 +24,18 @@ type Partializable interface {
 	MergePartial(vals []tuple.Value) error
 }
 
+// mergeSized folds a serialized partial into st and returns the change
+// in st's footprint; vary is false for fixed-size states (see
+// sizeVaries), which then pay nothing.
+func mergeSized(st Partializable, vals []tuple.Value, vary bool) (int, error) {
+	if !vary {
+		return 0, st.MergePartial(vals)
+	}
+	before := st.MemSize()
+	err := st.MergePartial(vals)
+	return st.MemSize() - before, err
+}
+
 // PartialVals implements Partializable for countState.
 func (s *countState) PartialVals() []tuple.Value { return []tuple.Value{tuple.Int(s.n)} }
 
@@ -138,6 +150,8 @@ type PartialAgg struct {
 	evictions int64
 	emitted   int64
 	absorbed  int64
+	bytes     int    // footprint of the used slots' keys and states
+	varSize   []bool // see varSizes
 }
 
 type pslot struct {
@@ -146,6 +160,10 @@ type pslot struct {
 	states []Partializable
 	used   bool
 }
+
+// slotBytes is a used slot's variable footprint, the walk p.bytes is
+// kept equal to.
+func slotBytes(s *pslot) int { return keysBytes(s.keys) + statesBytes(s.states) }
 
 // NewPartialAgg builds the low-level aggregator with the given slot
 // count. Every aggregate must be partializable.
@@ -172,8 +190,9 @@ func NewPartialAgg(name string, in *tuple.Schema, groupBy []expr.Expr, groupName
 	}
 	pa := &PartialAgg{
 		name: name, groupBy: groupBy, aggs: aggs, bucketLen: bucketLen,
-		slots: make([]*pslot, slots),
-		out:   tuple.NewSchema(name, fields...),
+		slots:   make([]*pslot, slots),
+		out:     tuple.NewSchema(name, fields...),
+		varSize: varSizes(aggs),
 	}
 	for i := range pa.slots {
 		pa.slots[i] = &pslot{}
@@ -231,13 +250,14 @@ func (p *PartialAgg) Push(_ int, e stream.Element, emit ops.Emit) {
 		for i, a := range p.aggs {
 			slot.states[i] = a.Fn.New().(Partializable)
 		}
+		p.bytes += slotBytes(slot)
 	}
 	for i, a := range p.aggs {
-		if a.Arg == nil {
-			slot.states[i].Add(tuple.Int(1))
-		} else {
-			slot.states[i].Add(a.Arg.Eval(t))
+		v := tuple.Int(1)
+		if a.Arg != nil {
+			v = a.Arg.Eval(t)
 		}
+		p.bytes += addSized(slot.states[i], v, p.varSize[i])
 	}
 	p.absorbed++
 }
@@ -250,6 +270,7 @@ func (p *PartialAgg) flushSlot(slot *pslot, emit ops.Emit) {
 	}
 	p.emitted++
 	emit(stream.Tup(tuple.New(slot.bucket, vals...)))
+	p.bytes -= slotBytes(slot)
 	slot.used = false
 	slot.keys = nil
 	slot.states = nil
@@ -264,23 +285,10 @@ func (p *PartialAgg) Flush(emit ops.Emit) {
 	}
 }
 
-// MemSize implements ops.Operator: fixed by construction — the whole
-// point of the low-level design.
-func (p *PartialAgg) MemSize() int {
-	n := 64
-	for _, slot := range p.slots {
-		n += 24
-		if slot.used {
-			for _, k := range slot.keys {
-				n += k.MemSize()
-			}
-			for _, st := range slot.states {
-				n += st.MemSize()
-			}
-		}
-	}
-	return n
-}
+// MemSize implements ops.Operator: bounded by construction — the whole
+// point of the low-level design — and read from a counter maintained as
+// slots are used and evicted.
+func (p *PartialAgg) MemSize() int { return 64 + 24*len(p.slots) + p.bytes }
 
 // Stats reports (tuples absorbed, partials emitted, evictions). The
 // data-reduction factor of experiment E8 is absorbed/emitted.
@@ -299,6 +307,8 @@ type FinalAgg struct {
 	out       *tuple.Schema
 	groups    map[uint64][]*fgroup
 	n         int
+	bytes     int    // footprint of the live groups (see fgroupBytes)
+	varSize   []bool // see varSizes
 	watermk   int64
 	emitted   int64
 	mergeErrs int64
@@ -308,6 +318,12 @@ type fgroup struct {
 	bucket int64
 	keys   []tuple.Value
 	states []Partializable
+}
+
+// fgroupBytes is one final group's footprint, the walk f.bytes is kept
+// equal to.
+func fgroupBytes(grp *fgroup) int {
+	return 32 + keysBytes(grp.keys) + statesBytes(grp.states)
 }
 
 // NewFinalAgg builds the combiner for partial records produced by a
@@ -326,8 +342,9 @@ func NewFinalAgg(name string, partial *PartialAgg) (*FinalAgg, error) {
 	}
 	return &FinalAgg{
 		name: name, in: in, nkeys: nkeys, aggs: partial.aggs,
-		out:    tuple.NewSchema(name, fields...),
-		groups: make(map[uint64][]*fgroup),
+		out:     tuple.NewSchema(name, fields...),
+		groups:  make(map[uint64][]*fgroup),
+		varSize: partial.varSize,
 	}, nil
 }
 
@@ -369,13 +386,16 @@ func (f *FinalAgg) Push(_ int, e stream.Element, emit ops.Emit) {
 		}
 		f.groups[h] = append(f.groups[h], grp)
 		f.n++
+		f.bytes += fgroupBytes(grp)
 	}
 	off := 1 + f.nkeys
 	for i := range f.aggs {
 		arity := len(grp.states[i].PartialKinds())
-		if err := grp.states[i].MergePartial(t.Vals[off : off+arity]); err != nil {
+		d, err := mergeSized(grp.states[i], t.Vals[off:off+arity], f.varSize[i])
+		if err != nil {
 			f.mergeErrs++
 		}
+		f.bytes += d
 		off += arity
 	}
 	// Buckets strictly older than the incoming partial's bucket are
@@ -396,6 +416,7 @@ func (f *FinalAgg) advance(now int64, emit ops.Emit) {
 			if grp.bucket < now {
 				f.emitGroup(grp, emit)
 				f.n--
+				f.bytes -= fgroupBytes(grp)
 			} else {
 				keep = append(keep, grp)
 			}
@@ -426,25 +447,12 @@ func (f *FinalAgg) Flush(emit ops.Emit) {
 		}
 	}
 	f.groups = make(map[uint64][]*fgroup)
-	f.n = 0
+	f.n, f.bytes = 0, 0
 }
 
-// MemSize implements ops.Operator.
-func (f *FinalAgg) MemSize() int {
-	n := 64
-	for _, chain := range f.groups {
-		for _, grp := range chain {
-			n += 32
-			for _, k := range grp.keys {
-				n += k.MemSize()
-			}
-			for _, st := range grp.states {
-				n += st.MemSize()
-			}
-		}
-	}
-	return n
-}
+// MemSize implements ops.Operator: a counter maintained as groups are
+// created, merged into and emitted.
+func (f *FinalAgg) MemSize() int { return 64 + f.bytes }
 
 // Groups reports the number of live final groups.
 func (f *FinalAgg) Groups() int { return f.n }

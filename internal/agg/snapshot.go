@@ -145,7 +145,8 @@ func (g *GroupBy) encodeTable(enc *ckpt.Encoder, tbl *groupTable) error {
 	return nil
 }
 
-// decodeTable reads one group table, rebuilding hash chains.
+// decodeTable reads one group table, rebuilding hash chains, and adds
+// its groups to the operator's footprint counters.
 func (g *GroupBy) decodeTable(dec *ckpt.Decoder) (*groupTable, error) {
 	tbl := &groupTable{end: dec.Varint(), groups: make(map[uint64][]*group)}
 	n := dec.Uvarint()
@@ -162,6 +163,8 @@ func (g *GroupBy) decodeTable(dec *ckpt.Decoder) (*groupTable, error) {
 		h := chainHash(keys)
 		tbl.groups[h] = append(tbl.groups[h], grp)
 		tbl.n++
+		g.live++
+		g.charge(tbl, groupBytes(grp))
 	}
 	return tbl, dec.Err()
 }
@@ -339,6 +342,7 @@ func (c *PaneCombiner) Restore(dec *ckpt.Decoder) error {
 		}
 		c.groups[h] = append(c.groups[h], grp)
 		c.n++
+		c.bytes += cgroupBytes(grp)
 	}
 	return dec.Err()
 }
@@ -401,6 +405,7 @@ func (p *PartialAgg) Restore(dec *ckpt.Decoder) error {
 				return err
 			}
 		}
+		p.bytes += slotBytes(s)
 	}
 	return dec.Err()
 }
@@ -461,6 +466,7 @@ func (f *FinalAgg) Restore(dec *ckpt.Decoder) error {
 		}
 		f.groups[h] = append(f.groups[h], grp)
 		f.n++
+		f.bytes += fgroupBytes(grp)
 	}
 	return dec.Err()
 }

@@ -147,7 +147,6 @@ type concRun struct {
 	pending []int64 // queued elements per node, for MaxQueue sampling
 	maxQ    []int64
 	maxMem  []int64
-	memTick []int64 // per-node message count, for strided MemSize polls
 	writers []int
 	closeMu sync.Mutex
 	sinkCh  chan sinkMsg // nil when SinkPerWriter is set
@@ -225,7 +224,6 @@ func (g *Graph) RunWith(maxElements int64, opts RunOptions) {
 		pending: make([]int64, len(g.nodes)),
 		maxQ:    make([]int64, len(g.nodes)),
 		maxMem:  make([]int64, len(g.nodes)),
-		memTick: make([]int64, len(g.nodes)),
 		writers: make([]int, len(g.nodes)),
 	}
 	if opts.Adapt != nil && opts.Checkpoint == nil && opts.Restore == nil {
@@ -456,22 +454,11 @@ func (r *concRun) closeDownstream(edges []edge) {
 	}
 }
 
-// memStride bounds how often an operator's MemSize is polled on the
-// data path. MemSize can be O(live state) — GroupBy walks every open
-// pane and group — so polling it per message puts state-proportional
-// work on the hot loop; the high-water mark only needs sampling.
-const memStride = 64
-
+// sampleMem folds the operator's current footprint into the node's
+// high-water mark. Every operator keeps MemSize as counters (a field
+// read, no state walk), so it is sampled after every delivered message
+// and after Flush: MaxMemory is the exact peak at message boundaries.
 func (r *concRun) sampleMem(id NodeID, op ops.Operator) {
-	if atomic.AddInt64(&r.memTick[id], 1)%memStride != 1 {
-		return
-	}
-	atomicMax(&r.maxMem[id], int64(op.MemSize()))
-}
-
-// sampleMemNow polls unconditionally — used off the hot path (flush),
-// where state is at its post-run peak and must be recorded.
-func (r *concRun) sampleMemNow(id NodeID, op ops.Operator) {
 	atomicMax(&r.maxMem[id], int64(op.MemSize()))
 }
 
@@ -671,7 +658,7 @@ func (r *concRun) runNode(id NodeID, n *node, wg *sync.WaitGroup) {
 			}()
 			n.op.Flush(emit)
 		}()
-		r.sampleMemNow(id, n.op)
+		r.sampleMem(id, n.op)
 	}
 	w.flush()
 	r.closeDownstream(n.out)
@@ -1194,7 +1181,7 @@ func (r *concRun) runPartialReplicated(id NodeID, n *node, pa ops.PartialAggrega
 			comb.Flush(emit)
 		}()
 	}
-	r.sampleMemNow(id, comb)
+	r.sampleMem(id, comb)
 	w.flush()
 	r.closeDownstream(n.out)
 }

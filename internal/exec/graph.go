@@ -39,8 +39,11 @@ type node struct {
 
 // NodeStats is per-operator introspection (Aurora-style, slide 47).
 type NodeStats struct {
-	In, Out   int64
-	MaxQueue  int
+	In, Out  int64
+	MaxQueue int
+	// MaxMemory is the high-water mark of the operator's MemSize: exact
+	// on Graph.Run, which samples after every push; RunWith samples
+	// after every delivered message and after Flush.
 	MaxMemory int
 	// Replicas records the effective replication width the concurrent
 	// engine chose for this node on its last run: RunOptions.Parallelism
@@ -426,10 +429,9 @@ func (g *Graph) dispatch(w work, queue *[]work) {
 		n.stats.MaxQueue = l
 	}
 	g.safePush(w.to, n, w.port, w.e, queue)
-	// MemSize can be O(live state), so the high-water mark is sampled on
-	// a stride, not per element; Run takes an exact final sample after
-	// every operator's Flush.
-	if !n.detached && n.stats.In%64 == 1 {
+	// MemSize is a counter read on every operator, so the high-water
+	// mark is sampled after every push and is exact.
+	if !n.detached {
 		if m := n.op.MemSize(); m > n.stats.MaxMemory {
 			n.stats.MaxMemory = m
 		}
@@ -465,8 +467,7 @@ func (g *Graph) flush(queue *[]work) {
 		}
 		g.safeFlush(NodeID(id), n, queue)
 		g.drain(queue)
-		// Exact post-flush sample: state peaks here, and the strided
-		// dispatch-time sampling may have skipped the true maximum.
+		// Post-flush sample, for state Flush itself leaves behind.
 		if m := n.op.MemSize(); m > n.stats.MaxMemory {
 			n.stats.MaxMemory = m
 		}

@@ -302,7 +302,7 @@ func (r *concRun) runKeyRouter(id NodeID, n *node, kp ops.KeyPartitionable, wg *
 					op.Flush(emit)
 				}()
 			}
-			r.sampleMemNow(id, op)
+			r.sampleMem(id, op)
 			mergeCh <- spanReply{worker: k, flush: true, outs: outs}
 		}(k)
 	}

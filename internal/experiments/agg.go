@@ -52,11 +52,9 @@ func E2BoundedMemoryAgg(scale Scale) *Table {
 			if expr.EvalBool(pred, tp) {
 				gb.Push(0, stream.Tup(tp), emit)
 			}
-			// MemSize walks every live group; sample it.
-			if i%1000 == 0 {
-				if m := gb.MemSize(); m > maxMem {
-					maxMem = m
-				}
+			// MemSize is a counter read: track the exact peak.
+			if m := gb.MemSize(); m > maxMem {
+				maxMem = m
 			}
 		}
 		return gb.MaxGroups(), maxMem

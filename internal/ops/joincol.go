@@ -30,8 +30,6 @@
 package ops
 
 import (
-	"math"
-
 	"streamdb/internal/expr"
 	"streamdb/internal/stream"
 	"streamdb/internal/tuple"
@@ -582,11 +580,7 @@ func (x *XJoin) processColRows(port int, b *stream.Batch, rows []int32, out *str
 			}
 		}
 		pairs.closeRow()
-		x.parts[port][p].mem = append(x.parts[port][p].mem, xtuple{t: t, ats: x.seq, dts: math.MaxInt64})
-		x.inMem++
-		if x.inMem > x.budget {
-			x.spillLargest()
-		}
+		x.insert(port, p, t)
 	}
 
 	kern := x.colKern

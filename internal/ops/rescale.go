@@ -176,6 +176,7 @@ func (x *XJoin) RestorePartition(sections [][]byte, k, p int) error {
 					if xt.t.Key(x.keys[s])%uint64(p) == uint64(k) {
 						part.mem = append(part.mem, xt)
 						x.inMem++
+						x.memBytes += xtupleBytes(xt.t)
 					}
 				}
 				var keepDisk []xtuple

@@ -179,6 +179,9 @@ func (x *XJoin) Restore(dec *ckpt.Decoder) error {
 				return err
 			}
 			part.mem = mem
+			for _, xt := range mem {
+				x.memBytes += xtupleBytes(xt.t)
+			}
 			disk, err := decodeXTuples(dec, schemas[s])
 			if err != nil {
 				return err

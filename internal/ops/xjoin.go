@@ -31,6 +31,7 @@ type XJoin struct {
 	budget    int // max in-memory tuples across both sides
 	seq       int64
 	inMem     int
+	memBytes  int // footprint of the in-memory partitions (see xtupleBytes)
 	parts     [2][]*xpart
 	dir       string
 	emitted   int64
@@ -53,6 +54,10 @@ type xtuple struct {
 	t        *tuple.Tuple
 	ats, dts int64 // residency interval [ats, dts)
 }
+
+// xtupleBytes is one resident tuple's footprint, the unit x.memBytes
+// counts.
+func xtupleBytes(t *tuple.Tuple) int { return t.MemSize() + 16 }
 
 type xpart struct {
 	mem  []xtuple
@@ -129,9 +134,15 @@ func (x *XJoin) Push(port int, e stream.Element, emit Emit) {
 		}
 	}
 
-	// Insert into own partition.
+	x.insert(port, p, t)
+}
+
+// insert adds an arrival to its own side's in-memory partition, spilling
+// the largest partition when the memory budget overflows.
+func (x *XJoin) insert(port, p int, t *tuple.Tuple) {
 	x.parts[port][p].mem = append(x.parts[port][p].mem, xtuple{t: t, ats: x.seq, dts: math.MaxInt64})
 	x.inMem++
+	x.memBytes += xtupleBytes(t)
 	if x.inMem > x.budget {
 		x.spillLargest()
 	}
@@ -161,6 +172,7 @@ func (x *XJoin) spillLargest() {
 		best.file = f
 	}
 	var buf []byte
+	bytes := 0
 	for _, xt := range best.mem {
 		// The spill happens after processing arrival x.seq, so these
 		// tuples were resident for every arrival <= x.seq: the
@@ -170,6 +182,7 @@ func (x *XJoin) spillLargest() {
 		buf = binary.AppendVarint(buf, xt.dts)
 		buf = tuple.AppendEncode(buf, xt.t)
 		best.n++
+		bytes += xtupleBytes(xt.t)
 	}
 	if _, err := best.file.Write(buf); err != nil {
 		best.n -= int64(len(best.mem))
@@ -178,6 +191,7 @@ func (x *XJoin) spillLargest() {
 	x.diskBytes += int64(len(buf))
 	x.spilledTs += int64(len(best.mem))
 	x.inMem -= len(best.mem)
+	x.memBytes -= bytes
 	best.mem = best.mem[:0]
 	x.spills++
 }
@@ -340,18 +354,8 @@ func (x *XJoin) Close() {
 	}
 }
 
-// MemSize implements Operator.
-func (x *XJoin) MemSize() int {
-	n := 256
-	for s := 0; s < 2; s++ {
-		for _, p := range x.parts[s] {
-			for _, xt := range p.mem {
-				n += xt.t.MemSize() + 16
-			}
-		}
-	}
-	return n
-}
+// MemSize implements Operator: a counter kept by insert and spill.
+func (x *XJoin) MemSize() int { return 256 + x.memBytes }
 
 // Stats reports XJoin introspection counters.
 func (x *XJoin) Stats() (emitted, spills, spilledTuples, diskBytes int64) {

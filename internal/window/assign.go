@@ -124,6 +124,9 @@ type Partitioned struct {
 	keyIdx []int
 	mk     func() Buffer
 	parts  map[uint64]*part
+	// Running totals over every partition, kept by Insert and
+	// Invalidate from each buffer's own Len/MemSize deltas.
+	count, bytes int
 }
 
 type part struct {
@@ -145,15 +148,22 @@ func (p *Partitioned) Insert(t *tuple.Tuple) {
 		pt = &part{sample: t, buf: p.mk()}
 		p.parts[h] = pt
 	}
+	n, b := pt.buf.Len(), pt.buf.MemSize()
 	pt.buf.Insert(t)
+	p.count += pt.buf.Len() - n
+	p.bytes += pt.buf.MemSize() - b
 }
 
 // Invalidate expires tuples in every partition and prunes empty ones.
 func (p *Partitioned) Invalidate(now int64) int {
 	dropped := 0
 	for h, pt := range p.parts {
+		n, b := pt.buf.Len(), pt.buf.MemSize()
 		dropped += pt.buf.Invalidate(now)
+		p.count += pt.buf.Len() - n
+		p.bytes += pt.buf.MemSize() - b
 		if pt.buf.Len() == 0 {
+			p.bytes -= pt.buf.MemSize() // whatever an empty buffer still holds
 			delete(p.parts, h)
 		}
 	}
@@ -185,22 +195,10 @@ func (p *Partitioned) EachInPartition(t *tuple.Tuple, f func(*tuple.Tuple) bool)
 }
 
 // Len implements Buffer.
-func (p *Partitioned) Len() int {
-	n := 0
-	for _, pt := range p.parts {
-		n += pt.buf.Len()
-	}
-	return n
-}
+func (p *Partitioned) Len() int { return p.count }
 
 // MemSize implements Buffer.
-func (p *Partitioned) MemSize() int {
-	n := 0
-	for _, pt := range p.parts {
-		n += pt.buf.MemSize()
-	}
-	return n
-}
+func (p *Partitioned) MemSize() int { return p.bytes }
 
 // Partitions reports the number of live partitions.
 func (p *Partitioned) Partitions() int { return len(p.parts) }

@@ -27,6 +27,7 @@ type Fifo struct {
 	headIdx    int // first live slot in head
 	tailIdx    int // next free slot in tail
 	count      int
+	segs       int // segments in the live list (head..tail)
 	free       *fifoSeg
 	nfree      int
 	bytes      int
@@ -35,7 +36,10 @@ type Fifo struct {
 // NewFifo builds an empty tuple FIFO.
 func NewFifo() *Fifo { return &Fifo{} }
 
+// getSeg returns an empty segment for the live list: recycled when the
+// freelist has one, fresh otherwise.
 func (f *Fifo) getSeg() *fifoSeg {
+	f.segs++
 	if f.free != nil {
 		s := f.free
 		f.free = s.next
@@ -46,7 +50,10 @@ func (f *Fifo) getSeg() *fifoSeg {
 	return &fifoSeg{}
 }
 
+// putSeg takes an emptied segment off the live list, keeping it on the
+// freelist while that has room.
 func (f *Fifo) putSeg(s *fifoSeg) {
+	f.segs--
 	if f.nfree >= fifoFreeCap {
 		return // let the GC take it
 	}
@@ -172,11 +179,8 @@ func (f *Fifo) AppendTo(dst []*tuple.Tuple) []*tuple.Tuple {
 // Len reports the number of queued tuples.
 func (f *Fifo) Len() int { return f.count }
 
-// MemSize reports the approximate bytes held (tuples plus segments).
+// MemSize reports the approximate bytes held (tuples plus live
+// segments), from counters kept by Push, PushRun and PopFront.
 func (f *Fifo) MemSize() int {
-	segs := 0
-	for s := f.head; s != nil; s = s.next {
-		segs++
-	}
-	return f.bytes + segs*(16+8*fifoSegLen)
+	return f.bytes + f.segs*(16+8*fifoSegLen)
 }
